@@ -106,62 +106,87 @@ func BenchmarkManagerContendedResource(b *testing.B) {
 	})
 }
 
-// BenchmarkUpdateHotPathAllocs gates the hot path at zero allocations: with
-// the observer disabled, a steady-state hold/unhold cycle must not allocate
-// at all — on the direct (Tier B) path and on the spooled (Tier A) path,
-// whose assertion spans spool fills and flush replays. The assertions run
-// before the timed loops so `go test -bench` fails loudly if any later
-// change sneaks an allocation into the event path.
+// nopTimeObserver is a leaf EventTimeObserver that does nothing: the
+// allocation gate's stand-in for the production observer chain, so the gate
+// measures the manager's delivery (replayed StateEventAt calls, staged trace
+// appends), not an observer's own cost.
+type nopTimeObserver struct{ nopObserver }
+
+func (nopTimeObserver) StateEventAt(int, ResourceKey, EventType, int64) {}
+
+// BenchmarkUpdateHotPathAllocs gates the hot path at zero allocations: a
+// steady-state hold/unhold cycle must not allocate at all — on the direct
+// (Tier B) path and on the spooled (Tier A) path, whose assertion spans
+// spool fills and flush replays. Both run twice: with the observer disabled
+// and tracing off, and in the production configuration (a 4096-entry trace
+// ring and an EventTimeObserver attached), where every event also reaches
+// the ring and the observer. The assertions run before the timed loops so
+// `go test -bench` fails loudly if any later change sneaks an allocation
+// into the event path.
 func BenchmarkUpdateHotPathAllocs(b *testing.B) {
-	b.Run("direct", func(b *testing.B) {
-		m := benchManager()
-		p := benchPBox(b, m)
-		const key = ResourceKey(0xbeef)
-		// Warm the per-key structures (shard map entries, holder map) so the
-		// measurement sees steady state, not first-touch setup.
-		m.Update(p, key, Hold)
-		m.Update(p, key, Unhold)
-		if !raceEnabled {
-			if allocs := testing.AllocsPerRun(1000, func() {
-				m.Update(p, key, Hold)
-				m.Update(p, key, Unhold)
-			}); allocs != 0 {
-				b.Fatalf("Update hot path allocates %.1f allocs per hold/unhold cycle; want 0", allocs)
-			}
+	configs := []struct {
+		name string
+		opts Options
+	}{
+		{"", Options{}},
+		{"production/", Options{TraceSize: 4096, Observer: nopTimeObserver{}}},
+	}
+	for _, c := range configs {
+		newManager := func() *Manager {
+			opts := c.opts
+			opts.Sleep = func(time.Duration) {}
+			return NewManager(opts)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		b.Run(c.name+"direct", func(b *testing.B) {
+			m := newManager()
+			p := benchPBox(b, m)
+			const key = ResourceKey(0xbeef)
+			// Warm the per-key structures (shard map entries, holder map) so
+			// the measurement sees steady state, not first-touch setup.
 			m.Update(p, key, Hold)
 			m.Update(p, key, Unhold)
-		}
-	})
-	b.Run("spooled", func(b *testing.B) {
-		m := benchManager()
-		p := benchPBox(b, m)
-		w := m.NewWorker()
-		if err := w.BindDirect(p); err != nil {
-			b.Fatal(err)
-		}
-		const key = ResourceKey(0xbee5)
-		w.Update(key, Hold)
-		w.Update(key, Unhold)
-		w.Flush()
-		if !raceEnabled {
-			// 1000 runs cross several spool-fill flushes, so the assertion
-			// covers append, flush copy-out, and batch replay.
-			if allocs := testing.AllocsPerRun(1000, func() {
-				w.Update(key, Hold)
-				w.Update(key, Unhold)
-			}); allocs != 0 {
-				b.Fatalf("spooled hot path allocates %.1f allocs per hold/unhold cycle; want 0", allocs)
+			if !raceEnabled {
+				if allocs := testing.AllocsPerRun(1000, func() {
+					m.Update(p, key, Hold)
+					m.Update(p, key, Unhold)
+				}); allocs != 0 {
+					b.Fatalf("Update hot path allocates %.1f allocs per hold/unhold cycle; want 0", allocs)
+				}
 			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Update(p, key, Hold)
+				m.Update(p, key, Unhold)
+			}
+		})
+		b.Run(c.name+"spooled", func(b *testing.B) {
+			m := newManager()
+			p := benchPBox(b, m)
+			w := m.NewWorker()
+			if err := w.BindDirect(p); err != nil {
+				b.Fatal(err)
+			}
+			const key = ResourceKey(0xbee5)
 			w.Update(key, Hold)
 			w.Update(key, Unhold)
-		}
-	})
+			w.Flush()
+			if !raceEnabled {
+				// 1000 runs cross several spool-fill flushes, so the
+				// assertion covers append, flush copy-out, and batch replay.
+				if allocs := testing.AllocsPerRun(1000, func() {
+					w.Update(key, Hold)
+					w.Update(key, Unhold)
+				}); allocs != 0 {
+					b.Fatalf("spooled hot path allocates %.1f allocs per hold/unhold cycle; want 0", allocs)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Update(key, Hold)
+				w.Update(key, Unhold)
+			}
+		})
+	}
 }

@@ -605,14 +605,24 @@ func (m *Manager) updateSlow(p *PBox, key ResourceKey, ev EventType) {
 //pbox:hotpath
 func (m *Manager) applyLocked(p *PBox, key ResourceKey, ev EventType, now int64) {
 	m.traceEventAt(p, key, ev.String(), 0, now)
+	m.notifyState(p, key, ev, now)
+	s := m.lockShard(key)
+	m.applyArmLocked(p, s, key, ev, now)
+	s.mu.Unlock()
+}
+
+// notifyState delivers one state event to the observer: through
+// StateEventAt with its manager-clock time when the observer implements
+// EventTimeObserver, through StateEvent otherwise. Caller holds p.mu (and,
+// on a spool replay, possibly the run's shard lock).
+//
+//pbox:hotpath
+func (m *Manager) notifyState(p *PBox, key ResourceKey, ev EventType, now int64) {
 	if m.timeObs != nil {
 		m.timeObs.StateEventAt(p.id, key, ev, now)
 	} else if m.obs != nil {
 		m.obs.StateEvent(p.id, key, ev)
 	}
-	s := m.lockShard(key)
-	m.applyArmLocked(p, s, key, ev, now)
-	s.mu.Unlock()
 }
 
 // applyArmLocked dispatches one event to its Algorithm 1 arm. Caller holds

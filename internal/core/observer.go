@@ -11,7 +11,9 @@ import "time"
 //
 // All callbacks except PenaltyServed are invoked synchronously while manager
 // locks are held (the calling pBox's mutex, and on verdict callbacks the
-// shard and verdict locks too — see DESIGN.md §8), so they observe a
+// shard and verdict locks too; a state event replayed from a worker spool
+// may also arrive under the shard lock of the replay's current run — see
+// DESIGN.md §8, §10), so they observe a
 // consistent per-pBox ordering: PBoxCreated precedes every other callback
 // for an id, nothing follows PBoxReleased for it, and a PenaltyAction is
 // always preceded by its Detection. In exchange, implementations must be

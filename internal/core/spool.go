@@ -348,17 +348,7 @@ func (m *Manager) replay(p *PBox, recs []spoolRec, serve bool) time.Duration {
 		p.mu.Unlock()
 		return 0
 	}
-	if m.trace == nil && m.obs == nil {
-		m.replayQuiet(p, recs)
-	} else {
-		// An attached observer or trace ring must see the per-event stream
-		// exactly as the slow path delivers it, so each record goes through
-		// the full delivery path (with its recorded timestamp).
-		for i := range recs {
-			r := &recs[i]
-			m.applyLocked(p, r.key, r.ev, r.at)
-		}
-	}
+	m.replayBatch(p, recs)
 	var pen time.Duration
 	if serve && p.pendingPenalty.Load() > 0 && len(p.holders) == 0 && len(p.preparing) == 0 {
 		pen = m.takePending(p)
@@ -367,45 +357,54 @@ func (m *Manager) replay(p *PBox, recs []spoolRec, serve bool) time.Duration {
 	return pen
 }
 
-// replayQuiet applies a batch with no observer and no trace ring attached —
-// the perf configuration the fast path exists for. With p.mu held for the
-// whole batch and each key's shard lock held across every record that
-// touches it, no intermediate state is observable, which licenses two
-// batch-local reductions the per-event path cannot make:
+// replayBatch is the one replay path, for every configuration. Every record
+// reaches the observer (StateEventAt, or StateEvent, one call per record, in
+// order) and the trace, exactly as applyLocked delivers a direct event. With
+// p.mu held for the whole batch and each key's shard lock held across every
+// record that touches it, no intermediate state is observable, which
+// licenses two batch-local reductions the per-event path cannot make:
 //
 //   - one shard lock acquisition covers a run of same-shard records, and
-//   - an adjacent balanced pair that provably changes nothing collapses:
-//     HOLD+UNHOLD on an already-held key is a hold-count up/down; HOLD+UNHOLD
-//     on an unheld key with no waiters inserts and removes the same holder
-//     entries with nothing watching; PREPARE+ENTER is exactly a deferTime
-//     contribution of the recorded interval (the waiter the PREPARE would
-//     register is removed by the very next record, so no UNHOLD between them
-//     can blame it).
+//   - an adjacent balanced pair that provably changes nothing skips its
+//     Algorithm 1 arms: HOLD+UNHOLD on an already-held key is a hold-count
+//     up/down; HOLD+UNHOLD on an unheld key with no waiters inserts and
+//     removes the same holder entries with nothing watching; PREPARE+ENTER
+//     is exactly a deferTime contribution of the recorded interval (the
+//     waiter the PREPARE would register is removed by the very next record,
+//     so no UNHOLD between them can blame it).
 //
-// Anything else — unpaired records, pairs with waiters present — runs the
-// ordinary Algorithm 1 arm, so verdicts, blame, and penalties come out
-// exactly as the unspooled manager's. Caller holds p.mu.
+// Trace entries are staged on the stack and reach the ring one locked
+// append per run (traceStage). The stage is drained before any arm that can
+// emit — an UNHOLD that reaches settleWaiters — so action entries and the
+// Blocked/Detection/PenaltyAction callbacks keep their place after the
+// state events that precede them. Anything else — unpaired records, pairs
+// with waiters present — runs the ordinary Algorithm 1 arm, so verdicts,
+// blame, and penalties come out exactly as the unspooled manager's. Caller
+// holds p.mu.
 //
 //pbox:hotpath
-func (m *Manager) replayQuiet(p *PBox, recs []spoolRec) {
+func (m *Manager) replayBatch(p *PBox, recs []spoolRec) {
 	var s *shard
 	var deferSum int64
+	var st traceStage
 	for i := 0; i < len(recs); i++ {
 		r := &recs[i]
-		paired := i+1 < len(recs) && recs[i+1].key == r.key
-		if paired {
-			if r.ev == Prepare && recs[i+1].ev == Enter {
-				if d := recs[i+1].at - r.at; d > 0 {
-					deferSum += d
-				}
-				i++
-				continue
+		m.replayDeliver(p, &st, r)
+		pair := i+1 < len(recs) && recs[i+1].key == r.key
+		if pair && r.ev == Prepare && recs[i+1].ev == Enter {
+			if d := recs[i+1].at - r.at; d > 0 {
+				deferSum += d
 			}
-			if r.ev == Hold && recs[i+1].ev == Unhold {
-				if _, held := p.holders[r.key]; held {
-					i++ // hold-count up then down: nothing changes
-					continue
-				}
+			i++
+			m.replayDeliver(p, &st, &recs[i])
+			continue
+		}
+		pair = pair && r.ev == Hold && recs[i+1].ev == Unhold
+		if pair {
+			if _, held := p.holders[r.key]; held {
+				i++ // hold-count up then down: nothing changes
+				m.replayDeliver(p, &st, &recs[i])
+				continue
 			}
 		}
 		if ns := m.shardFor(r.key); ns != s {
@@ -418,23 +417,99 @@ func (m *Manager) replayQuiet(p *PBox, recs []spoolRec) {
 			// a resize racing the batch is retried, never mutated-through.
 			s = m.lockShard(r.key)
 		}
-		if paired && r.ev == Hold && recs[i+1].ev == Unhold {
-			if _, held := p.holders[r.key]; !held {
-				if cl := s.competitors[r.key]; cl == nil || len(cl.waiters) == 0 {
-					i++ // transient hold nobody waited on: nothing changes
-					continue
-				}
+		if pair {
+			if cl := s.competitors[r.key]; cl == nil || len(cl.waiters) == 0 {
+				i++ // transient hold nobody waited on: nothing changes
+				m.replayDeliver(p, &st, &recs[i])
+				continue
 			}
+		}
+		if r.ev == Unhold && st.n > 0 && unholdSettles(p, s, r.key) {
+			st.drain(m)
 		}
 		m.applyArmLocked(p, s, r.key, r.ev, r.at)
 	}
 	if s != nil {
 		s.mu.Unlock()
 	}
+	st.drain(m)
 	if deferSum > 0 {
 		p.actMu.Lock()
 		p.deferTime += deferSum
 		p.actMu.Unlock()
+	}
+}
+
+// replayDeliver hands one replayed record to the trace stage and the
+// observer, in applyLocked's order. Caller holds p.mu and possibly the
+// run's shard lock.
+//
+//pbox:hotpath
+func (m *Manager) replayDeliver(p *PBox, st *traceStage, r *spoolRec) {
+	if m.trace != nil {
+		st.stage(m, p, r)
+	}
+	m.notifyState(p, r.key, r.ev, r.at)
+}
+
+// unholdSettles reports whether an UNHOLD of key by p reaches settleWaiters
+// (p's last hold on key, with waiters present): the one arm a replay runs
+// that can emit trace entries and observer callbacks of its own. Caller
+// holds p.mu and s.mu, where s is key's shard.
+//
+//pbox:hotpath
+func unholdSettles(p *PBox, s *shard, key ResourceKey) bool {
+	if h, held := p.holders[key]; !held || h.count > 1 {
+		return false
+	}
+	cl := s.competitors[key]
+	return cl != nil && len(cl.waiters) > 0
+}
+
+// traceStageSize is how many replayed trace entries are staged before one
+// locked append moves them into the ring.
+const traceStageSize = 32
+
+// traceStage holds a replay's trace entries on the caller's stack (about
+// 2.3 KiB) so a run reaches the ring under one lock hold instead of one per
+// record. A per-spool buffer would cost every worker its size in heap.
+type traceStage struct {
+	n   int
+	buf [traceStageSize]TraceEntry
+}
+
+// stage adds r's trace entry, draining first when the stage is full. The
+// resource name is resolved once per same-key run: a record on the key of
+// the entry staged before it reuses that entry's name.
+//
+//pbox:hotpath
+func (st *traceStage) stage(m *Manager, p *PBox, r *spoolRec) {
+	if st.n == len(st.buf) {
+		st.drain(m)
+	}
+	var name string
+	if st.n > 0 && st.buf[st.n-1].Key == r.key {
+		name = st.buf[st.n-1].Name
+	} else {
+		name = m.resourceName(r.key)
+	}
+	st.buf[st.n] = TraceEntry{
+		At:   time.Duration(r.at),
+		PBox: p.id,
+		Key:  r.key,
+		Name: name,
+		What: r.ev.String(),
+	}
+	st.n++
+}
+
+// drain appends the staged entries to the ring in one locked run.
+//
+//pbox:hotpath
+func (st *traceStage) drain(m *Manager) {
+	if st.n > 0 {
+		m.trace.addRun(st.buf[:st.n])
+		st.n = 0
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,12 +13,6 @@ import (
 // Manager.Update, and everything the manager computes — detection verdicts,
 // penalty sequences, attribution totals, per-pBox snapshots, observer
 // streams — must come out identical.
-
-// diffEvent is one recorded StateEvent callback.
-type diffEvent struct {
-	key ResourceKey
-	ev  EventType
-}
 
 // diffDetection is one recorded Detection callback.
 type diffDetection struct {
@@ -34,43 +29,100 @@ type diffAction struct {
 	length        time.Duration
 }
 
-// diffObserver records the full observer stream. State events are kept per
-// pBox: the spooled run batches per worker, so the global interleaving of
+// diffCall is one recorded observer callback, filed under the pBox it
+// belongs to: the subject of lifecycle and state callbacks, the culprit of
+// Blocked, Detection, PenaltyAction and the served-penalty callbacks. A
+// pBox's call stream therefore shows where its verdicts fall among its own
+// state events. a carries the callback's time or duration (StateEventAt's
+// timestamp, Blocked's overlap, a penalty length, ActivityEnd's defer time),
+// b ActivityEnd's execution time, f Detection's projected level.
+type diffCall struct {
+	kind   string
+	other  int // the victim, on culprit callbacks
+	key    ResourceKey
+	ev     EventType
+	policy PolicyKind
+	a, b   int64
+	f      float64
+}
+
+// diffObserver records the full observer stream. Calls are kept per pBox:
+// the spooled run batches per worker, so the global interleaving of
 // *uncontended* events across pBoxes legitimately differs; the per-pBox
 // order and content, and the global order of verdicts and actions, may not.
-// It deliberately implements only Observer (not EventTimeObserver) so
-// replayed events arrive through the same StateEvent arm as direct ones.
+// It implements Observer and AttributionObserver; diffTimeObserver adds
+// StateEventAt, the delivery production observers take.
 type diffObserver struct {
-	events map[int][]diffEvent
+	calls  map[int][]diffCall
 	dets   []diffDetection
 	acts   []diffAction
 	served []time.Duration
 }
 
 func newDiffObserver() *diffObserver {
-	return &diffObserver{events: make(map[int][]diffEvent)}
+	return &diffObserver{calls: make(map[int][]diffCall)}
 }
 
-func (o *diffObserver) PBoxCreated(int, IsolationRule) {}
-func (o *diffObserver) PBoxReleased(int)               {}
+func (o *diffObserver) add(id int, c diffCall) { o.calls[id] = append(o.calls[id], c) }
+
+func (o *diffObserver) PBoxCreated(id int, _ IsolationRule) { o.add(id, diffCall{kind: "create"}) }
+func (o *diffObserver) PBoxReleased(id int)                 { o.add(id, diffCall{kind: "release"}) }
 func (o *diffObserver) StateEvent(id int, key ResourceKey, ev EventType) {
-	o.events[id] = append(o.events[id], diffEvent{key, ev})
+	o.add(id, diffCall{kind: "event", key: key, ev: ev})
 }
-func (o *diffObserver) ActivityEnd(int, int64, int64) {}
+func (o *diffObserver) ActivityEnd(id int, deferNs, execNs int64) {
+	o.add(id, diffCall{kind: "activity", a: deferNs, b: execNs})
+}
 func (o *diffObserver) Detection(noisy, victim int, key ResourceKey, projected float64) {
 	o.dets = append(o.dets, diffDetection{noisy, victim, key, projected})
+	o.add(noisy, diffCall{kind: "detect", other: victim, key: key, f: projected})
 }
 func (o *diffObserver) PenaltyAction(noisy, victim int, key ResourceKey, policy PolicyKind, length time.Duration) {
 	o.acts = append(o.acts, diffAction{noisy, victim, key, policy, length})
+	o.add(noisy, diffCall{kind: "action", other: victim, key: key, policy: policy, a: int64(length)})
 }
-func (o *diffObserver) PenaltyServed(_ int, d time.Duration) {
+func (o *diffObserver) PenaltyServed(id int, d time.Duration) {
 	o.served = append(o.served, d)
+	o.add(id, diffCall{kind: "served", a: int64(d)})
+}
+func (o *diffObserver) Blocked(culprit, victim int, key ResourceKey, deferNs int64) {
+	o.add(culprit, diffCall{kind: "blocked", other: victim, key: key, a: deferNs})
+}
+func (o *diffObserver) PenaltyServedFor(culprit, victim int, key ResourceKey, d time.Duration) {
+	o.add(culprit, diffCall{kind: "served-for", other: victim, key: key, a: int64(d)})
+}
+
+// diffTimeObserver is diffObserver as an EventTimeObserver: state events
+// arrive through StateEventAt and are recorded with their timestamps.
+type diffTimeObserver struct{ *diffObserver }
+
+func (o diffTimeObserver) StateEventAt(id int, key ResourceKey, ev EventType, atNs int64) {
+	o.add(id, diffCall{kind: "event", key: key, ev: ev, a: atNs})
+}
+
+// diffMode selects what a differential run attaches to the manager.
+type diffMode int
+
+const (
+	diffQuiet diffMode = iota // no observer and no trace ring
+	diffPlain                 // a 4096-entry trace ring and an Observer
+	diffTimed                 // the trace ring and an EventTimeObserver, as production runs
+)
+
+// diffTrace is the part of a trace entry a differential compares: Seq is
+// ingestion order, which legitimately interleaves pBoxes differently.
+type diffTrace struct {
+	what  string
+	key   ResourceKey
+	at    time.Duration
+	extra time.Duration
 }
 
 // diffResult captures everything a differential run is compared on.
 type diffResult struct {
 	sleeps    []time.Duration
 	obs       *diffObserver
+	trace     map[int][]diffTrace // per pBox, in ring order
 	snapshots map[int]Snapshot
 	attr      map[diffTriple]AttributionRecord
 	crossings int64
@@ -83,20 +135,23 @@ type diffTriple struct {
 
 // runSpoolDiffScript runs the interference script and returns the artifacts.
 // spooled selects per-worker Worker.Update (Tier A) vs direct Manager.Update
-// (Tier B only); withObserver attaches the recording observer and the trace
-// ring (per-event replay), while the quiet variant runs with both off so the
-// flush takes the replayQuiet batch path.
-func runSpoolDiffScript(t *testing.T, spooled, withObserver bool) diffResult {
+// (Tier B only); mode selects the observer and trace ring attached. Every
+// mode replays through the same batched path, so the quiet mode isolates
+// the Algorithm 1 arithmetic and the observed modes add the delivery order.
+func runSpoolDiffScript(t *testing.T, spooled bool, mode diffMode) diffResult {
 	t.Helper()
 	var obs *diffObserver
 	h := newHarness(t, func(o *Options) {
 		o.Attribution = true
 		o.SpoolSize = 16 // small: phase 1 crosses many fill-flushes
-		if withObserver {
+		o.TraceSize = 0
+		if mode != diffQuiet {
+			o.TraceSize = 4096 // holds the whole script: no wraparound
 			obs = newDiffObserver()
 			o.Observer = obs
-		} else {
-			o.TraceSize = 0 // no trace, no observer: replayQuiet
+			if mode == diffTimed {
+				o.Observer = diffTimeObserver{obs}
+			}
 		}
 	})
 	noisy := h.pbox(0.5)
@@ -169,7 +224,53 @@ func runSpoolDiffScript(t *testing.T, spooled, withObserver bool) diffResult {
 	h.advance(20 * time.Microsecond)
 	upd(vw, victim, shared, Unhold)
 
+	// Phase 3: a verdict inside a replayed batch. Noisy holds heldZ across
+	// the phase (no safe point until its release) and waitK, on which the
+	// victim then waits. Worker.Update's straggler window — a record whose
+	// claim check passed before a slow-path event revoked the slot lands in
+	// the spool anyway and replays at the next flush — lets an UNHOLD with
+	// a waiter present reach a replay; appending noisy's burst straight to
+	// its spool opens that window deterministically. The batch puts the
+	// verdict between no-op pairs that coalesce, and is flushed at the
+	// burst's own time, so the action's trace entry (stamped at delivery)
+	// carries the same time in both runs.
+	const heldZ, waitK, pairX, pairY = ResourceKey(0x300), ResourceKey(0x301), ResourceKey(0x302), ResourceKey(0x303)
+	upd(nw, noisy, heldZ, Hold)
+	upd(nw, noisy, waitK, Hold)
+	h.advance(50 * time.Microsecond)
+	upd(vw, victim, waitK, Prepare) // contends waitK: noisy's spool drains first
+	h.advance(5 * time.Millisecond)
+	burst := []spoolRec{
+		{key: pairX, ev: Hold}, {key: pairX, ev: Unhold},
+		{key: waitK, ev: Unhold}, // settle: detection + penalty, inside the batch
+		{key: pairY, ev: Hold}, {key: pairY, ev: Unhold},
+	}
+	acts := 0
+	if obs != nil {
+		acts = len(obs.acts)
+	}
+	for _, r := range burst {
+		if !spooled {
+			h.m.Update(noisy, r.key, r.ev)
+		} else if !nw.spool.append(noisy, r.key, r.ev, h.now) {
+			t.Fatal("straggler append refused")
+		}
+	}
 	if spooled {
+		nw.Flush()
+	}
+	if obs != nil && len(obs.acts) != acts+1 {
+		t.Fatalf("phase 3 burst took %d actions, want 1", len(obs.acts)-acts)
+	}
+	h.advance(10 * time.Microsecond)
+	upd(vw, victim, waitK, Enter)
+	upd(vw, victim, waitK, Hold)
+	upd(vw, victim, waitK, Unhold)
+	upd(nw, noisy, heldZ, Unhold) // safe point: the penalty is served
+
+	if spooled {
+		// End of the requests: the spooled release reaches the books and
+		// noisy's penalty is served, where the direct release served it.
 		nw.Flush()
 		vw.Flush()
 	}
@@ -179,9 +280,13 @@ func runSpoolDiffScript(t *testing.T, spooled, withObserver bool) diffResult {
 	res := diffResult{
 		sleeps:    h.sleeps,
 		obs:       obs,
+		trace:     make(map[int][]diffTrace),
 		snapshots: make(map[int]Snapshot),
 		attr:      make(map[diffTriple]AttributionRecord),
 		crossings: h.m.Crossings(),
+	}
+	for _, e := range h.m.Trace() {
+		res.trace[e.PBox] = append(res.trace[e.PBox], diffTrace{e.What, e.Key, e.At, e.Extra})
 	}
 	st := h.m.Status()
 	for _, s := range st.Snapshots {
@@ -190,7 +295,7 @@ func runSpoolDiffScript(t *testing.T, spooled, withObserver bool) diffResult {
 	for _, r := range st.Attribution {
 		res.attr[diffTriple{r.CulpritID, r.VictimID, r.Key}] = r
 	}
-	for _, key := range []ResourceKey{coldN, coldV, shared} {
+	for _, key := range []ResourceKey{coldN, coldV, shared, heldZ, waitK, pairX, pairY} {
 		if w, hd := h.m.Waiters(key), h.m.Holders(key); w != 0 || hd != 0 {
 			t.Fatalf("dangling bookkeeping on key %#x: waiters=%d holders=%d", uintptr(key), w, hd)
 		}
@@ -228,77 +333,84 @@ func compareDiffResults(t *testing.T, spooled, direct diffResult) {
 		t.Fatalf("crossings: spooled %d, direct %d (spool folding must preserve the count)",
 			spooled.crossings, direct.crossings)
 	}
-}
-
-// TestSpoolDifferentialDetection is the acceptance check for the two-tier
-// split: with an observer and trace attached, the spooled run must produce
-// the identical detection verdicts, penalty action sequence, served-penalty
-// sequence, per-pBox event streams, snapshots, and attribution totals as the
-// direct run of the same script.
-func TestSpoolDifferentialDetection(t *testing.T) {
-	spooled := runSpoolDiffScript(t, true, true)
-	direct := runSpoolDiffScript(t, false, true)
-
-	// The script must actually exercise the interference machinery.
-	if len(direct.obs.dets) == 0 || len(direct.obs.acts) == 0 || len(direct.sleeps) == 0 {
-		t.Fatalf("script produced no interference: dets=%d acts=%d sleeps=%d",
-			len(direct.obs.dets), len(direct.obs.acts), len(direct.sleeps))
+	if len(spooled.trace) != len(direct.trace) {
+		t.Fatalf("trace covers %d pboxes spooled, %d direct", len(spooled.trace), len(direct.trace))
 	}
-
-	compareDiffResults(t, spooled, direct)
-
-	if len(spooled.obs.dets) != len(direct.obs.dets) {
-		t.Fatalf("detections: spooled %v, direct %v", spooled.obs.dets, direct.obs.dets)
-	}
-	for i := range direct.obs.dets {
-		if spooled.obs.dets[i] != direct.obs.dets[i] {
-			t.Fatalf("detection %d: spooled %+v, direct %+v", i, spooled.obs.dets[i], direct.obs.dets[i])
-		}
-	}
-	if len(spooled.obs.acts) != len(direct.obs.acts) {
-		t.Fatalf("actions: spooled %v, direct %v", spooled.obs.acts, direct.obs.acts)
-	}
-	for i := range direct.obs.acts {
-		if spooled.obs.acts[i] != direct.obs.acts[i] {
-			t.Fatalf("action %d: spooled %+v, direct %+v", i, spooled.obs.acts[i], direct.obs.acts[i])
-		}
-	}
-	if len(spooled.obs.served) != len(direct.obs.served) {
-		t.Fatalf("served: spooled %v, direct %v", spooled.obs.served, direct.obs.served)
-	}
-	for i := range direct.obs.served {
-		if spooled.obs.served[i] != direct.obs.served[i] {
-			t.Fatalf("served %d: spooled %v, direct %v", i, spooled.obs.served[i], direct.obs.served[i])
-		}
-	}
-	if len(spooled.obs.events) != len(direct.obs.events) {
-		t.Fatalf("event streams for %d pboxes spooled, %d direct",
-			len(spooled.obs.events), len(direct.obs.events))
-	}
-	for id, want := range direct.obs.events {
-		got := spooled.obs.events[id]
+	for id, want := range direct.trace {
+		got := spooled.trace[id]
 		if len(got) != len(want) {
-			t.Fatalf("pbox %d event stream: spooled %d events, direct %d", id, len(got), len(want))
+			t.Fatalf("pbox %d trace: spooled %d entries, direct %d", id, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("pbox %d event %d: spooled %+v, direct %+v", id, i, got[i], want[i])
+				t.Fatalf("pbox %d trace entry %d: spooled %+v, direct %+v", id, i, got[i], want[i])
 			}
 		}
 	}
 }
 
+// TestSpoolDifferentialDetection is the acceptance check for the two-tier
+// split: with a trace ring and an observer attached — a plain Observer, and
+// an EventTimeObserver as production runs — the spooled run must produce
+// the identical detection verdicts, penalty action sequence, served-penalty
+// sequence, per-pBox trace entries and observer call streams (verdict
+// callbacks included, in place), snapshots, and attribution totals as the
+// direct run of the same script.
+func TestSpoolDifferentialDetection(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mode diffMode
+	}{{"observer", diffPlain}, {"event-time-observer", diffTimed}} {
+		t.Run(c.name, func(t *testing.T) {
+			spooled := runSpoolDiffScript(t, true, c.mode)
+			direct := runSpoolDiffScript(t, false, c.mode)
+
+			// The script must actually exercise the interference machinery.
+			if len(direct.obs.dets) < 2 || len(direct.obs.acts) < 2 || len(direct.sleeps) < 2 {
+				t.Fatalf("script produced too little interference: dets=%d acts=%d sleeps=%d",
+					len(direct.obs.dets), len(direct.obs.acts), len(direct.sleeps))
+			}
+
+			compareDiffResults(t, spooled, direct)
+
+			if !slices.Equal(spooled.obs.dets, direct.obs.dets) {
+				t.Fatalf("detections: spooled %v, direct %v", spooled.obs.dets, direct.obs.dets)
+			}
+			if !slices.Equal(spooled.obs.acts, direct.obs.acts) {
+				t.Fatalf("actions: spooled %v, direct %v", spooled.obs.acts, direct.obs.acts)
+			}
+			if !slices.Equal(spooled.obs.served, direct.obs.served) {
+				t.Fatalf("served: spooled %v, direct %v", spooled.obs.served, direct.obs.served)
+			}
+			if len(spooled.obs.calls) != len(direct.obs.calls) {
+				t.Fatalf("call streams for %d pboxes spooled, %d direct",
+					len(spooled.obs.calls), len(direct.obs.calls))
+			}
+			for id, want := range direct.obs.calls {
+				got := spooled.obs.calls[id]
+				if len(got) != len(want) {
+					t.Fatalf("pbox %d call stream: spooled %d calls, direct %d", id, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("pbox %d call %d: spooled %+v, direct %+v", id, i, got[i], want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestSpoolDifferentialQuiet is the same differential with no observer and no
-// trace ring — the configuration where flushes take the replayQuiet batch
-// path with its shard-lock batching and balanced-pair coalescing. Sleeps,
-// snapshots (including defer accounting from coalesced PREPARE/ENTER pairs),
-// attribution totals, and the crossings count must still match the direct
-// run exactly.
+// trace ring, isolating the batch replay's shard-lock batching and
+// balanced-pair coalescing. Sleeps, snapshots (including defer accounting
+// from coalesced PREPARE/ENTER pairs), attribution totals, and the crossings
+// count must still match the direct run exactly.
 func TestSpoolDifferentialQuiet(t *testing.T) {
-	spooled := runSpoolDiffScript(t, true, false)
-	direct := runSpoolDiffScript(t, false, false)
-	if len(direct.sleeps) == 0 {
-		t.Fatal("script produced no penalties")
+	spooled := runSpoolDiffScript(t, true, diffQuiet)
+	direct := runSpoolDiffScript(t, false, diffQuiet)
+	if len(direct.sleeps) < 2 {
+		t.Fatal("script produced too few penalties")
 	}
 	compareDiffResults(t, spooled, direct)
 }

@@ -33,47 +33,79 @@ func (t TraceEntry) String() string {
 }
 
 // traceRing is a fixed-capacity concurrent ring buffer of trace entries.
-// Every entry carries a sequence number, and adds signal a notification
-// channel, so readers can snapshot incrementally and long-poll for new
-// entries (the /trace streaming endpoint). The ring has its own mutex (a
-// leaf in the manager's lock order); the sequence counter is an atomic so
-// long-poll readers can check for progress without touching the lock the
-// event path appends under.
+// Every entry carries a sequence number, and adds wake long-poll waiters, so
+// readers can snapshot incrementally and long-poll for new entries (the
+// /trace streaming endpoint). The ring has its own mutex (a leaf in the
+// manager's lock order); the sequence counter is an atomic so long-poll
+// readers can check for progress without touching the lock the event path
+// appends under.
+//
+// The wakeup is lazy: notify is nil until a waiter arms it (waitCh, under
+// mu), and the next add closes it and clears it again. An add that nobody
+// waits on touches no channel, so every append — direct or a replayed run —
+// is allocation-free.
 type traceRing struct {
 	mu      sync.Mutex
 	entries []TraceEntry
 	pos     int
 	full    bool
 	seq     atomic.Uint64 // total entries ever added
-	notify  chan struct{} // closed and replaced on every add
+	notify  chan struct{} // armed by waitCh; closed and cleared by the next add
 }
+
+// closedCh is the already-closed channel waitCh hands a reader whose since
+// the ring has already passed.
+var closedCh = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 func newTraceRing(n int) *traceRing {
 	if n <= 0 {
-		// Reject degenerate capacities: a zero-capacity ring would divide
-		// by cap()==0 on the full path of add. The minimum usable ring
+		// Reject degenerate capacities: a zero-capacity ring would have no
+		// slot to write on the full path of add. The minimum usable ring
 		// holds one entry.
 		n = 1
 	}
-	return &traceRing{
-		entries: make([]TraceEntry, 0, n),
-		notify:  make(chan struct{}),
-	}
+	return &traceRing{entries: make([]TraceEntry, 0, n)}
 }
 
+// add appends one entry.
+//
+//pbox:hotpath
 func (r *traceRing) add(e TraceEntry) {
+	one := [1]TraceEntry{e}
+	r.addRun(one[:])
+}
+
+// addRun appends a run of entries under one lock hold, with consecutive
+// sequence numbers and at most one wakeup — the spool replay's batched
+// trace append. The ring copies the entries; es is not retained.
+//
+//pbox:hotpath
+func (r *traceRing) addRun(es []TraceEntry) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	e.Seq = r.seq.Add(1)
-	if len(r.entries) < cap(r.entries) {
-		r.entries = append(r.entries, e)
-	} else {
-		r.entries[r.pos] = e
-		r.pos = (r.pos + 1) % cap(r.entries)
+	seq := r.seq.Add(uint64(len(es))) - uint64(len(es))
+	for i := range es {
+		seq++
+		es[i].Seq = seq
+		if n := len(r.entries); n < cap(r.entries) {
+			r.entries = r.entries[:n+1]
+			r.entries[n] = es[i]
+			continue
+		}
+		r.entries[r.pos] = es[i]
+		if r.pos++; r.pos == len(r.entries) {
+			r.pos = 0
+		}
 		r.full = true
 	}
-	close(r.notify)
-	r.notify = make(chan struct{})
+	if r.notify != nil {
+		close(r.notify)
+		r.notify = nil
+	}
+	r.mu.Unlock()
 }
 
 // orderedLocked returns the ring contents oldest first. Caller holds r.mu;
@@ -113,20 +145,20 @@ func (r *traceRing) snapshotSince(since uint64) ([]TraceEntry, uint64) {
 
 // waitCh returns a channel that is closed once the ring's sequence advances
 // past since. If it already has, the returned channel is already closed —
-// decided on the atomic alone, so a caught-up long-poller never contends
-// with the event path for the ring lock.
+// decided on the atomic alone, so a reader that is behind never contends
+// with the event path for the ring lock. Otherwise the reader arms the
+// shared wakeup channel, which the next add closes.
 func (r *traceRing) waitCh(since uint64) <-chan struct{} {
 	if r.seq.Load() > since {
-		ch := make(chan struct{})
-		close(ch)
-		return ch
+		return closedCh
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.seq.Load() > since {
-		ch := make(chan struct{})
-		close(ch)
-		return ch
+		return closedCh
+	}
+	if r.notify == nil {
+		r.notify = make(chan struct{})
 	}
 	return r.notify
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -200,4 +202,146 @@ func TestNameResourceFlowsIntoTrace(t *testing.T) {
 	if got := h.m.ResourceName(key); got != "" {
 		t.Fatalf("ResourceName after unregister = %q, want empty", got)
 	}
+}
+
+// notified reports whether ch is closed, waiting up to d for it; with d = 0
+// it only checks.
+func notified(ch <-chan struct{}, d time.Duration) bool {
+	if d == 0 {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	select {
+	case <-ch:
+		return true
+	case <-time.After(d):
+		return false
+	}
+}
+
+// TestTraceNotifyLazyArming covers the lazily armed wakeup: a waiter armed
+// before a single add is woken; a waiter armed before a batched spool replay
+// is woken by the replay's one run append; a since the ring has already
+// passed gets a closed channel without arming; and adds with no waiter leave
+// the ring unarmed.
+func TestTraceNotifyLazyArming(t *testing.T) {
+	h := newHarness(t)
+	p := h.pbox(0.5)
+	h.m.Activate(p)
+	r := h.m.trace
+
+	// Adds with nobody waiting arm nothing.
+	h.m.Update(p, ResourceKey(1), Hold)
+	if r.notify != nil {
+		t.Fatal("an add with no waiter armed the wakeup channel")
+	}
+
+	// Single add.
+	_, tail := h.m.TraceSince(0)
+	ch := h.m.TraceNotify(tail)
+	if notified(ch, 0) {
+		t.Fatal("caught-up waiter woken before any add")
+	}
+	if again := h.m.TraceNotify(tail); again != ch {
+		t.Fatal("a second caught-up waiter did not share the armed channel")
+	}
+	h.m.Update(p, ResourceKey(1), Unhold)
+	if !notified(ch, time.Second) {
+		t.Fatal("waiter armed before a single add was not woken")
+	}
+	if r.notify != nil {
+		t.Fatal("the add did not disarm the wakeup channel")
+	}
+
+	// Batched replay: spooled events reach the ring only at the flush, as
+	// one run append, which must wake a waiter armed before it.
+	w := h.m.NewWorker()
+	if err := w.BindDirect(p); err != nil {
+		t.Fatal(err)
+	}
+	_, tail = h.m.TraceSince(0)
+	for i := 0; i < 8; i++ {
+		w.Update(ResourceKey(2), Hold)
+		w.Update(ResourceKey(2), Unhold)
+	}
+	ch = h.m.TraceNotify(tail)
+	if notified(ch, 0) {
+		t.Fatal("waiter woken while the events were still spooled")
+	}
+	w.Flush()
+	if !notified(ch, time.Second) {
+		t.Fatal("waiter armed before a batched replay was not woken")
+	}
+	got, next := h.m.TraceSince(tail)
+	if len(got) != 16 || next != tail+16 {
+		t.Fatalf("replay appended %d entries (tail %d → %d), want 16 consecutive", len(got), tail, next)
+	}
+	for i, e := range got {
+		if e.Seq != tail+uint64(i)+1 {
+			t.Fatalf("replayed entry %d has seq %d, want %d", i, e.Seq, tail+uint64(i)+1)
+		}
+	}
+
+	// A since the ring has passed: closed at once, nothing armed.
+	if !notified(h.m.TraceNotify(tail), 0) {
+		t.Fatal("TraceNotify(since < tail) is not already closed")
+	}
+	if r.notify != nil {
+		t.Fatal("a passed since armed the wakeup channel")
+	}
+}
+
+// TestConcurrentTraceNotify races long-poll waiters against spooled writers
+// whose flushes append in runs: every waiter that arms at the current tail
+// must be woken by a later append. Writers never stop while waiters wait, so
+// a waiter that times out with the tail past its since lost a wakeup.
+func TestConcurrentTraceNotify(t *testing.T) {
+	m := NewManager(Options{TraceSize: 512, SpoolSize: 16, Sleep: func(time.Duration) {}})
+	var stop atomic.Bool
+	var writers, waiters sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		p, err := m.Create(DefaultRule())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Activate(p)
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			w := m.NewWorker()
+			if err := w.BindDirect(p); err != nil {
+				t.Error(err)
+				return
+			}
+			key := ResourceKey(0x100 + g)
+			for i := 0; !stop.Load(); i++ {
+				w.Update(key, Hold)
+				w.Update(key, Unhold)
+				if i%64 == 0 {
+					time.Sleep(10 * time.Microsecond)
+				}
+			}
+			w.Flush()
+		}(g)
+	}
+	for g := 0; g < 3; g++ {
+		waiters.Add(1)
+		go func() {
+			defer waiters.Done()
+			for i := 0; i < 200; i++ {
+				since := m.trace.seq.Load()
+				if !notified(m.TraceNotify(since), 5*time.Second) {
+					t.Errorf("waiter at seq %d not woken (tail now %d): lost wakeup", since, m.trace.seq.Load())
+					return
+				}
+			}
+		}()
+	}
+	waiters.Wait()
+	stop.Store(true)
+	writers.Wait()
 }

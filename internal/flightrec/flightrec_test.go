@@ -1,6 +1,10 @@
 package flightrec
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -346,5 +350,64 @@ func TestPreciseDumpSeesSpooledEvents(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("precise dump missed the spooled hold: %+v", precise.Resources)
+	}
+}
+
+// TestBundleEncodingRoundTrip: a bundle written with its events streamed one
+// at a time decodes to an Incident deep-equal to the one built, and its bytes
+// are exactly json.MarshalIndent's — with events, and with none.
+func TestBundleEncodingRoundTrip(t *testing.T) {
+	full := Incident{
+		ID:             "20260101T000000-0001",
+		CapturedAt:     "2026-01-01T00:00:00Z",
+		Trigger:        "detection",
+		CulpritID:      1,
+		CulpritLabel:   `noisy "<bg>"`,
+		VictimID:       2,
+		VictimLabel:    "victimé",
+		Key:            0xbeef,
+		Resource:       `buf"pool`,
+		ProjectedLevel: 1.25,
+		Goal:           0.5,
+		PenaltyPolicy:  "initial",
+		PenaltyLength:  "1ms",
+		SnapshotEpoch:  7,
+		SnapshotAge:    "3ms",
+		Events: []Event{
+			{Seq: 1, At: "t1", Kind: "created", PBox: 1},
+			{Seq: 2, At: "t2", EventAt: "5µs", Kind: "state", State: "HOLD", PBox: 1, Key: 0xbeef, Name: `"events": [`},
+			{Seq: 3, At: "t3", Kind: "action", PBox: 1, Victim: 2, Key: 0xbeef, Extra: "1ms", Policy: "initial", Level: 1.25},
+		},
+		PBoxes:             []PBoxInfo{{ID: 1, Label: "noisy", State: "active", Goal: 0.5, TotalDefer: "0s", TotalExec: "1ms", PenaltyServed: "0s"}},
+		Resources:          []ResourceInfo{{Key: 0xbeef, Name: "bufpool", Waiters: 1, Holders: 1}},
+		Attribution:        []AttributionInfo{{CulpritID: 1, VictimID: 2, Key: 0xbeef, Blocked: "5ms", Detections: 1, Actions: 1, PenaltyScheduled: "1ms", PenaltyServed: "0s"}},
+		AttributionDropped: 3,
+	}
+	empty := Incident{ID: "20260101T000000-0002", Trigger: "manual", Reason: "no events"}
+	dir := t.TempDir()
+	rec := New(Config{Dir: dir})
+	t.Cleanup(rec.Close)
+	for _, want := range []Incident{full, empty} {
+		if err := rec.writeBundle(want); err != nil {
+			t.Fatalf("writeBundle(%s): %v", want.ID, err)
+		}
+		got, err := ReadIncident(dir, want.ID)
+		if err != nil {
+			t.Fatalf("ReadIncident(%s): %v", want.ID, err)
+		}
+		if !reflect.DeepEqual(*got, want) {
+			t.Fatalf("bundle %s round trip:\n got  %+v\n want %+v", want.ID, *got, want)
+		}
+		data, err := os.ReadFile(rec.bundlePath(want.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := json.MarshalIndent(want, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref = append(ref, '\n'); !bytes.Equal(data, ref) {
+			t.Fatalf("bundle %s bytes differ from MarshalIndent:\n%s\nwant\n%s", want.ID, data, ref)
+		}
 	}
 }

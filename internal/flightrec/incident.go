@@ -1,6 +1,8 @@
 package flightrec
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,14 +29,14 @@ type Event struct {
 	// issued; At is its delivery time (flush time for spooled events).
 	EventAt string  `json:"event_at,omitempty"`
 	Kind    string  `json:"kind"`
-	State  string  `json:"state,omitempty"`
-	PBox   int     `json:"pbox"`
-	Victim int     `json:"victim,omitempty"`
-	Key    uint64  `json:"key,omitempty"`
-	Name   string  `json:"resource,omitempty"`
-	Extra  string  `json:"extra,omitempty"`
-	Policy string  `json:"policy,omitempty"`
-	Level  float64 `json:"level,omitempty"`
+	State   string  `json:"state,omitempty"`
+	PBox    int     `json:"pbox"`
+	Victim  int     `json:"victim,omitempty"`
+	Key     uint64  `json:"key,omitempty"`
+	Name    string  `json:"resource,omitempty"`
+	Extra   string  `json:"extra,omitempty"`
+	Policy  string  `json:"policy,omitempty"`
+	Level   float64 `json:"level,omitempty"`
 }
 
 // PBoxInfo is the wire form of one pBox snapshot in a bundle: the Algorithm 1
@@ -304,20 +306,80 @@ func (r *Recorder) bundlePath(id string) string {
 	return filepath.Join(r.cfg.Dir, "incident-"+id+".json")
 }
 
+// writeBundle persists inc as incident-<id>.json, write-then-rename so a
+// reader never sees a torn bundle.
 func (r *Recorder) writeBundle(inc Incident) error {
 	if err := os.MkdirAll(r.cfg.Dir, 0o755); err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(inc, "", "  ")
+	tmp := r.bundlePath(inc.ID) + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	// Write-then-rename so a reader never sees a torn bundle.
-	tmp := r.bundlePath(inc.ID) + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	bw := bufio.NewWriter(f)
+	err = encodeIncident(bw, &inc)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	return os.Rename(tmp, r.bundlePath(inc.ID))
+}
+
+// eventsField is where MarshalIndent places the (emptied) event list of a
+// bundle; a JSON string cannot contain it unescaped, so its first match is
+// the field itself.
+var eventsField = []byte(`"events": [`)
+
+// encodeIncident writes inc followed by a newline, byte for byte what
+// json.MarshalIndent(inc, "", "  ") produces, but streams the event list —
+// the bulk of a bundle — one event at a time. Marshalling the whole bundle
+// at once grows encoding/json's pooled buffer to the bundle's size, and the
+// pool keeps that buffer alive until a later GC, which on a process that
+// rarely collects outlives the capture by far. Write errors on w are sticky:
+// they surface from the final WriteByte and the caller's Flush.
+func encodeIncident(w *bufio.Writer, inc *Incident) error {
+	events := inc.Events
+	rest := *inc
+	if len(events) > 0 {
+		rest.Events = []Event{} // the placeholder the events stream into
+	}
+	head, err := json.MarshalIndent(&rest, "", "  ")
+	if err != nil {
+		return err
+	}
+	if len(events) > 0 {
+		i := bytes.Index(head, eventsField)
+		if i < 0 {
+			return errWrite
+		}
+		i += len(eventsField)
+		w.Write(head[:i])
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("    ", "  ")
+		for j := range events {
+			buf.Reset()
+			if err := enc.Encode(&events[j]); err != nil {
+				return err
+			}
+			if j > 0 {
+				w.WriteByte(',')
+			}
+			w.WriteString("\n    ")
+			w.Write(bytes.TrimSuffix(buf.Bytes(), []byte("\n")))
+		}
+		w.WriteString("\n  ")
+		head = head[i:]
+	}
+	w.Write(head)
+	return w.WriteByte('\n')
 }
 
 // prune enforces the retention cap, deleting the oldest bundles (ids sort
