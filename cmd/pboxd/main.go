@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -55,6 +56,7 @@ func main() {
 		victims   = flag.Int("victims", 2, "victim get-clients in -demo mode")
 		incidents = flag.String("incidents", "incidents", "flight-recorder incidents directory (empty disables)")
 		record    = flag.String("record", "", "capture full replayable event log into this directory (pboxreplay consumes it)")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof runtime profiles on this address (empty disables)")
 
 		wireAddr   = flag.String("wire", "127.0.0.1:7272", "TCP listen address for the batched binary ingestion protocol (empty disables)")
 		wireRate   = flag.Float64("wire-rate", 0, "per-connection wire event admission rate (events/sec, 0 = unlimited)")
@@ -63,6 +65,14 @@ func main() {
 		wireGBurst = flag.Int("wire-global-burst", 0, "global wire admission bucket depth (0 = default)")
 	)
 	flag.Parse()
+
+	if *pprofAddr != "" {
+		a, err := servePprof(*pprofAddr)
+		if err != nil {
+			log.Fatalf("pboxd: pprof listen %s: %v", *pprofAddr, err)
+		}
+		log.Printf("pboxd: pprof on http://%s/debug/pprof/", a)
+	}
 
 	cfg := minikv.DefaultConfig()
 	cfg.Capacity = *capacity
@@ -227,6 +237,24 @@ func main() {
 			log.Printf("pboxd: capture recorder dropped %d records (queue overflow)", n)
 		}
 	}
+}
+
+// servePprof serves the net/http/pprof profiles under /debug/pprof/ on addr
+// and returns the bound address. The handlers sit on a mux of their own, so
+// the telemetry port never exposes them.
+func servePprof(addr string) (net.Addr, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	go func() { log.Printf("pboxd: pprof server: %v", http.Serve(ln, mux)) }()
+	return ln.Addr(), nil
 }
 
 // runDemo reproduces the c16 shape over real sockets: one noisy set-heavy

@@ -314,6 +314,10 @@ func (m *Manager) ShardCount() int { return len(m.shards.Load().shards) }
 // spooling is disabled.
 func (m *Manager) SpoolCapacity() int { return int(m.spoolCap.Load()) }
 
+// Now reads the manager clock (Options.Now): the ns timeline state events
+// and StateEventAt timestamps are on.
+func (m *Manager) Now() int64 { return m.opts.Now() }
+
 // ErrReleased is returned when an operation references a destroyed pBox.
 var ErrReleased = errors.New("pbox: operation on released pBox")
 

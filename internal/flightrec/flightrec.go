@@ -12,8 +12,9 @@
 // The Recorder implements core.Observer (and core.AttributionObserver) and
 // chains to a next Observer, so it stacks in front of the telemetry
 // Collector. Hook-path discipline matches the rest of the reproduction:
-// recording an event writes one preallocated ring slot under a short
-// recorder-local mutex and never allocates; a verdict capture is a
+// recording an event writes one preallocated ring slot under its pBox's
+// stripe lock and never allocates, and a state event delivered with its
+// manager-clock time reads no wall clock; a verdict capture is a
 // per-culprit cooldown check plus a non-blocking channel send. Bundles are
 // built and written by a background goroutine that reads the manager's
 // epoch-published snapshot (refreshed for detection captures, so the
@@ -24,6 +25,8 @@
 package flightrec
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,7 +59,7 @@ const (
 // String returns the wire name of the kind.
 func (k EventKind) String() string {
 	switch k {
-	case KindState:
+	case KindState, kindStateAt:
 		return "state"
 	case KindActivityEnd:
 		return "activity_end"
@@ -77,61 +80,87 @@ func (k EventKind) String() string {
 	}
 }
 
-// event is one compact ring slot. Fields are overloaded per kind; the wire
-// form (incident.go) renders only the meaningful ones. No pointers, no
-// strings — recording must not allocate.
+// kindStateAt marks a state event stamped on the manager clock (StateEventAt
+// after AttachManager); it renders as "state". Every other kind, KindState
+// included, is stamped on the wall clock at delivery.
+const kindStateAt = KindReleased + 1
+
+// event is one compact ring slot: 64 bytes, no pointers, no strings —
+// recording must not allocate. Fields are overloaded per kind; the wire form
+// (incident.go) renders only the meaningful ones.
 type event struct {
 	seq    uint64
-	atUnix int64 // wall-clock ns, stamped at delivery (for a spooled event: flush time)
-	atMgr  int64 // manager-clock ns of the event itself (state events via StateEventAt)
-	kind   EventKind
-	state  core.EventType
-	pbox   int // acting pBox (culprit for detection/action/blocked)
+	at     int64 // ns: manager clock for kindStateAt, unix wall clock for every other kind
+	pbox   int   // acting pBox (culprit for detection/action/blocked)
 	victim int
 	key    core.ResourceKey
-	extra  int64 // defer/penalty/blocked ns, per kind
-	policy core.PolicyKind
+	extra  int64   // defer/penalty/blocked ns, per kind
 	level  float64 // projected interference level (detection)
+	kind   EventKind
+	state  uint8 // core.EventType
+	policy uint8 // core.PolicyKind
 }
 
-// ring is a fixed-capacity event buffer with preallocated slots.
-type ring struct {
+// ringStripes is the fixed number of ring stripes. A pBox's events go to
+// stripe pboxID & (ringStripes-1), so concurrent recorders of different
+// pBoxes mostly take different locks.
+const ringStripes = 8
+
+// stripe is one independently locked slice of the ring. The trailing line
+// of padding keeps each stripe's lock and cursor off its neighbours' cache
+// lines.
+type stripe struct {
 	mu     sync.Mutex
 	events []event
 	pos    int
 	full   bool
-	seq    uint64
+	_      [64]byte
 }
 
+// ring is the striped event buffer: ringStripes stripes of preallocated
+// slots, each keeping its own newest events, and one sequence taken under
+// the stripe lock that orders events across stripes.
+type ring struct {
+	stripes [ringStripes]stripe
+	seq     atomic.Uint64
+	_       [64]byte
+}
+
+// newRing splits n slots evenly across the stripes (rounding up).
 func newRing(n int) *ring {
-	return &ring{events: make([]event, n)}
+	r := &ring{}
+	per := (n + ringStripes - 1) / ringStripes
+	for i := range r.stripes {
+		r.stripes[i].events = make([]event, per)
+	}
+	return r
 }
 
 func (r *ring) add(e event) {
-	r.mu.Lock()
-	r.seq++
-	e.seq = r.seq
-	r.events[r.pos] = e
-	r.pos = (r.pos + 1) % len(r.events)
-	if r.pos == 0 {
-		r.full = true
+	s := &r.stripes[e.pbox&(ringStripes-1)]
+	s.mu.Lock()
+	e.seq = r.seq.Add(1)
+	s.events[s.pos] = e
+	if s.pos++; s.pos == len(s.events) {
+		s.pos, s.full = 0, true
 	}
-	r.mu.Unlock()
+	s.mu.Unlock()
 }
 
-// tail returns the ring contents oldest first. Called off the hook path;
+// tail returns the ring contents in seq order. Called off the hook path;
 // the copy is O(ring size) and aliases nothing.
 func (r *ring) tail() []event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		out := make([]event, r.pos)
-		copy(out, r.events[:r.pos])
-		return out
+	out := make([]event, 0, ringStripes*len(r.stripes[0].events))
+	for i := range r.stripes {
+		s := &r.stripes[i]
+		s.mu.Lock()
+		if s.full {
+			out = append(out, s.events[s.pos:]...)
+		}
+		out = append(out, s.events[:s.pos]...)
+		s.mu.Unlock()
 	}
-	out := make([]event, 0, len(r.events))
-	out = append(out, r.events[r.pos:]...)
-	out = append(out, r.events[:r.pos]...)
+	slices.SortFunc(out, func(a, b event) int { return cmp.Compare(a.seq, b.seq) })
 	return out
 }
 
@@ -190,19 +219,32 @@ type Recorder struct {
 	next     core.Observer
 	nextAttr core.AttributionObserver
 
-	mgr    atomic.Pointer[core.Manager]
-	capPos atomic.Value // CapturePosition, set by AttachCapture
+	att    atomic.Pointer[attachment] // set by AttachManager
+	capPos atomic.Value               // CapturePosition, set by AttachCapture
 
 	capMu       sync.Mutex
 	lastCapture map[int]int64 // culprit id → unix ns of its last verdict capture
 	dropped     atomic.Int64  // captures lost to a full queue
 
-	jobs chan capture
-	done chan struct{}
-
-	idMu   sync.Mutex
-	idSeq  int
+	// jobs is never closed, so a capture racing Close cannot panic on a
+	// closed channel; Close closes stop instead, and the writer drains jobs
+	// and closes done.
+	jobs   chan capture
+	stop   chan struct{}
+	done   chan struct{}
 	closed atomic.Bool
+
+	idMu  sync.Mutex
+	idSeq int
+}
+
+// attachment is the manager a Recorder reports on plus the clock anchor
+// that renders manager-clock event times on the wall clock: a manager-clock
+// instant t is the wall-clock instant wall + (t − mgrNs).
+type attachment struct {
+	mgr   *core.Manager
+	wall  int64 // time.Now().UnixNano() at AttachManager
+	mgrNs int64 // mgr.Now() at the same moment
 }
 
 // New builds a Recorder and starts its writer goroutine.
@@ -222,6 +264,7 @@ func New(cfg Config) *Recorder {
 		next:        cfg.Next,
 		lastCapture: make(map[int]int64),
 		jobs:        make(chan capture, 8),
+		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
 	if ao, ok := cfg.Next.(core.AttributionObserver); ok {
@@ -232,9 +275,12 @@ func New(cfg Config) *Recorder {
 }
 
 // AttachManager supplies the manager whose Status the incident builder
-// snapshots. Until it is called, bundles carry events only.
+// snapshots, and anchors the manager clock to the wall clock: from then on a
+// state event delivered through StateEventAt is stored with its manager-clock
+// time only, and its bundle time is derived from the anchor. Until it is
+// called, bundles carry events only, each stamped with its delivery time.
 func (r *Recorder) AttachManager(m *core.Manager) {
-	r.mgr.Store(m)
+	r.att.Store(&attachment{mgr: m, wall: time.Now().UnixNano(), mgrNs: m.Now()})
 }
 
 // CapturePosition is the slice of capture.Recorder the incident builder
@@ -258,7 +304,7 @@ func (r *Recorder) AttachCapture(p CapturePosition) {
 // bundles are written.
 func (r *Recorder) Close() {
 	if r.closed.CompareAndSwap(false, true) {
-		close(r.jobs)
+		close(r.stop)
 		<-r.done
 	}
 }
@@ -298,24 +344,36 @@ func (r *Recorder) dump(reason string, precise bool, timeout time.Duration) (str
 	}
 	select {
 	case r.jobs <- job:
+	case <-r.done:
+		return "", errClosed
 	case <-time.After(timeout):
 		return "", errBusy
 	}
+	var id string
 	select {
-	case id := <-reply:
-		if id == "" {
-			return "", errWrite
+	case id = <-reply:
+	case <-r.done:
+		// The writer replies before it exits, so a job it built has its
+		// id waiting.
+		select {
+		case id = <-reply:
+		default:
+			return "", errClosed
 		}
-		return id, nil
 	case <-time.After(timeout):
 		return "", errBusy
 	}
+	if id == "" {
+		return "", errWrite
+	}
+	return id, nil
 }
 
-// record stores an event. Alloc-free: the slot is preallocated and the
-// struct carries no heap references.
+// record stores an event stamped with its delivery time on the wall clock.
+// Alloc-free: the slot is preallocated and the struct carries no heap
+// references.
 func (r *Recorder) record(e event) {
-	e.atUnix = time.Now().UnixNano()
+	e.at = time.Now().UnixNano()
 	r.ring.add(e)
 }
 
@@ -337,7 +395,7 @@ func (r *Recorder) PBoxReleased(id int) {
 
 // StateEvent implements core.Observer.
 func (r *Recorder) StateEvent(pboxID int, key core.ResourceKey, ev core.EventType) {
-	r.record(event{kind: KindState, state: ev, pbox: pboxID, key: key})
+	r.record(event{kind: KindState, state: uint8(ev), pbox: pboxID, key: key})
 	if r.next != nil {
 		r.next.StateEvent(pboxID, key, ev)
 	}
@@ -345,12 +403,18 @@ func (r *Recorder) StateEvent(pboxID int, key core.ResourceKey, ev core.EventTyp
 
 // StateEventAt implements core.EventTimeObserver: every state event —
 // direct or spool-replayed — arrives here carrying the manager-clock
-// timestamp its bookkeeping used. The wall-clock stamp (record's atUnix)
-// still marks delivery; the event time rides along so incident bundles
-// distinguish when an event happened from when its batch drained. Forwarded
-// timed when the next observer understands event time, plain otherwise.
+// timestamp its bookkeeping used. Once a manager is attached that timestamp
+// is the only one stored: no wall clock is read, and the bundle renders the
+// event at its own time through the AttachManager anchor, not at the time
+// its batch drained. Before that, the event is stamped at delivery like a
+// plain StateEvent. Forwarded timed when the next observer understands event
+// time, plain otherwise.
 func (r *Recorder) StateEventAt(pboxID int, key core.ResourceKey, ev core.EventType, atNs int64) {
-	r.record(event{kind: KindState, state: ev, pbox: pboxID, key: key, atMgr: atNs})
+	if r.att.Load() != nil {
+		r.ring.add(event{kind: kindStateAt, at: atNs, state: uint8(ev), pbox: pboxID, key: key})
+	} else {
+		r.record(event{kind: KindState, state: uint8(ev), pbox: pboxID, key: key})
+	}
 	if r.next != nil {
 		if to, ok := r.next.(core.EventTimeObserver); ok {
 			to.StateEventAt(pboxID, key, ev, atNs)
@@ -414,7 +478,7 @@ func (r *Recorder) Detection(noisyID, victimID int, key core.ResourceKey, projec
 
 // PenaltyAction implements core.Observer.
 func (r *Recorder) PenaltyAction(noisyID, victimID int, key core.ResourceKey, policy core.PolicyKind, length time.Duration) {
-	r.record(event{kind: KindAction, pbox: noisyID, victim: victimID, key: key, policy: policy, extra: int64(length)})
+	r.record(event{kind: KindAction, pbox: noisyID, victim: victimID, key: key, policy: uint8(policy), extra: int64(length)})
 	if r.next != nil {
 		r.next.PenaltyAction(noisyID, victimID, key, policy, length)
 	}

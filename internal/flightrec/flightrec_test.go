@@ -6,6 +6,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -260,8 +261,9 @@ func TestDumpAfterCloseFails(t *testing.T) {
 }
 
 // TestRecordPathAllocFree is the flight-recorder half of the hook-path
-// discipline: recording an event into the ring, and a verdict arriving
-// while the capture cooldown is active, allocate nothing.
+// discipline: recording an event into the ring — timed state events before
+// and after AttachManager included — and a verdict arriving while the
+// capture cooldown is active, allocate nothing.
 func TestRecordPathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
@@ -276,6 +278,17 @@ func TestRecordPathAllocFree(t *testing.T) {
 		rec.StateEvent(1, key, core.Prepare)
 	}); allocs != 0 {
 		t.Fatalf("StateEvent record allocates %.2f objects per op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		rec.StateEventAt(1, key, core.Hold, 7)
+	}); allocs != 0 {
+		t.Fatalf("StateEventAt record (no manager) allocates %.2f objects per op, want 0", allocs)
+	}
+	rec.AttachManager(core.NewManager(core.Options{}))
+	if allocs := testing.AllocsPerRun(1000, func() {
+		rec.StateEventAt(1, key, core.Hold, 7)
+	}); allocs != 0 {
+		t.Fatalf("StateEventAt record allocates %.2f objects per op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
 		rec.Detection(1, 2, key, 0.9)
@@ -409,5 +422,39 @@ func TestBundleEncodingRoundTrip(t *testing.T) {
 		if ref = append(ref, '\n'); !bytes.Equal(data, ref) {
 			t.Fatalf("bundle %s bytes differ from MarshalIndent:\n%s\nwant\n%s", want.ID, data, ref)
 		}
+	}
+}
+
+// TestCaptureRacingClose: verdict captures and manual dumps that arrive
+// while Close runs are either queued before the writer drains or refused;
+// none is sent on the closed queue (which panics the process). Run under
+// -race in CI.
+func TestCaptureRacingClose(t *testing.T) {
+	dir := t.TempDir()
+	key := core.ResourceKey(0x11)
+	for i := 0; i < 100; i++ {
+		rec := New(Config{Dir: dir, Cooldown: time.Nanosecond, Retention: 4})
+		var running, wg sync.WaitGroup
+		for g := 1; g <= 2; g++ {
+			running.Add(1)
+			wg.Add(1)
+			go func(culprit int) {
+				defer wg.Done()
+				running.Done()
+				for j := 0; j < 50; j++ {
+					rec.Detection(culprit, culprit+10, key, 0.9)
+				}
+			}(g)
+		}
+		running.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			running.Done()
+			rec.Dump("shutdown race", time.Second)
+		}()
+		running.Wait()
+		rec.Close()
+		wg.Wait()
 	}
 }

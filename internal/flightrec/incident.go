@@ -23,10 +23,17 @@ var (
 
 // Event is the wire form of one ring entry inside an incident bundle.
 type Event struct {
+	// Seq is the recording order across all pBoxes; a bundle lists its
+	// events by Seq.
 	Seq uint64 `json:"seq"`
-	At  string `json:"at"`
+	// At is the wall-clock time of the event. For a state event delivered
+	// with its manager-clock time (EventAt set) it is that event time,
+	// rendered through the clock anchor taken at AttachManager, so a
+	// spooled event shows when it was issued, not when its batch drained;
+	// for every other event it is the delivery time.
+	At string `json:"at"`
 	// EventAt is the manager-clock offset at which a state event was
-	// issued; At is its delivery time (flush time for spooled events).
+	// issued; set when the manager delivered the event with its time.
 	EventAt string  `json:"event_at,omitempty"`
 	Kind    string  `json:"kind"`
 	State   string  `json:"state,omitempty"`
@@ -134,16 +141,36 @@ type Incident struct {
 }
 
 // writer is the background goroutine draining capture jobs into bundles.
+// Once stop is closed it builds the jobs already queued and exits; a job
+// sent after that final drain is never built.
 func (r *Recorder) writer() {
 	defer close(r.done)
-	for job := range r.jobs {
-		id, err := r.buildAndWrite(job)
-		if job.reply != nil {
-			if err != nil {
-				id = ""
+	for {
+		select {
+		case job := <-r.jobs:
+			r.build(job)
+		case <-r.stop:
+			for {
+				select {
+				case job := <-r.jobs:
+					r.build(job)
+				default:
+					return
+				}
 			}
-			job.reply <- id
 		}
+	}
+}
+
+// build runs one capture job and answers a manual dump with the incident id
+// ("" on failure).
+func (r *Recorder) build(job capture) {
+	id, err := r.buildAndWrite(job)
+	if job.reply != nil {
+		if err != nil {
+			id = ""
+		}
+		job.reply <- id
 	}
 }
 
@@ -174,7 +201,11 @@ func (r *Recorder) buildAndWrite(job capture) (string, error) {
 	if p, ok := r.capPos.Load().(CapturePosition); ok {
 		inc.CaptureSegment, inc.CaptureOffset, inc.CaptureQueued = p.Position()
 	}
-	mgr := r.mgr.Load()
+	att := r.att.Load()
+	var mgr *core.Manager
+	if att != nil {
+		mgr = att.mgr
+	}
 	if job.trigger == "detection" {
 		inc.CulpritID = job.culprit
 		inc.VictimID = job.victim
@@ -259,24 +290,32 @@ func (r *Recorder) buildAndWrite(job capture) (string, error) {
 		inc.ProjectedSpeedup = (1 + inc.ProjectedLevel) / (1 + inc.Goal)
 	}
 
-	for _, e := range r.ring.tail() {
+	events := r.ring.tail()
+	if att == nil {
+		// A manager-clock event in the tail was recorded after the anchor
+		// was published; reloading after the tail sees it.
+		att = r.att.Load()
+	}
+	for _, e := range events {
 		we := Event{
 			Seq:    e.seq,
-			At:     time.Unix(0, e.atUnix).UTC().Format(time.RFC3339Nano),
 			Kind:   e.kind.String(),
 			PBox:   e.pbox,
 			Victim: e.victim,
 			Key:    uint64(e.key),
 			Level:  e.level,
 		}
-		if e.kind == KindState {
-			we.State = e.state.String()
+		at := e.at
+		if e.kind == kindStateAt {
+			at = att.wall + (e.at - att.mgrNs)
+			we.EventAt = time.Duration(e.at).String()
 		}
-		if e.atMgr != 0 {
-			we.EventAt = time.Duration(e.atMgr).String()
+		we.At = time.Unix(0, at).UTC().Format(time.RFC3339Nano)
+		if e.kind == KindState || e.kind == kindStateAt {
+			we.State = core.EventType(e.state).String()
 		}
 		if e.kind == KindAction {
-			we.Policy = e.policy.String()
+			we.Policy = core.PolicyKind(e.policy).String()
 		}
 		if e.extra != 0 {
 			we.Extra = time.Duration(e.extra).String()
@@ -289,7 +328,7 @@ func (r *Recorder) buildAndWrite(job capture) (string, error) {
 		// after the triggering detection (same culprit and victim).
 		if job.trigger == "detection" && e.kind == KindAction &&
 			e.pbox == job.culprit && e.victim == job.victim && e.key == job.key {
-			inc.PenaltyPolicy = e.policy.String()
+			inc.PenaltyPolicy = core.PolicyKind(e.policy).String()
 			inc.PenaltyLength = time.Duration(e.extra).String()
 		}
 	}
